@@ -1,6 +1,6 @@
-"""Micro-benchmarks for the live datapath: wire codec and UDP transport.
+"""Micro-benchmarks for the live datapath and the election's leader choice.
 
-Two measurement families, pinned in ``BENCH_core.json`` under the
+Three measurement families, pinned in ``BENCH_core.json`` under the
 top-level ``micro`` key (next to the sim-side ``modes``) and checked by
 the CI perf-smoke job via ``tools/bench_micro.py``:
 
@@ -13,6 +13,13 @@ the CI perf-smoke job via ``tools/bench_micro.py``:
   Frames/sec are machine-dependent, so the regression check compares
   them *normalized by the calibration score* (same scheme as the core
   bench).
+
+* **election** — Ω_lc leader-choice updates/sec: one 50-candidate
+  :class:`~repro.core.election.omega_lc.OmegaLc` on the unit tests'
+  ``FakeContext``, fed a fixed seeded stream of forward switches, trust
+  flips and accusation-time bumps (the mix a churning group produces).
+  Every update ends in a leader readout; the rate is normalized by the
+  calibration score, like the codec rates.
 
 * **udp** — sustained localhost datagram throughput between two real
   processes: a sender flooding ``send_batch`` bursts and a receiver
@@ -32,10 +39,12 @@ short (a few seconds) — they run in CI on shared machines.
 from __future__ import annotations
 
 import multiprocessing
+import random
 import socket
 import time
 from typing import Dict, List, Optional
 
+from repro.core.election.omega_lc import OmegaLc
 from repro.net.message import (
     AccEntry,
     AccuseMessage,
@@ -58,6 +67,8 @@ __all__ = [
     "MIN_UDP_RATIO",
     "codec_frame_mix",
     "run_codec_micro",
+    "election_update_stream",
+    "run_election_micro",
     "run_udp_micro",
     "run_micro_bench",
     "compare_micro",
@@ -150,6 +161,80 @@ def run_codec_micro(iterations: int = 20_000, repeats: int = 3) -> Dict:
         "encode_per_sec": round(best(encode_pass), 1),
         "encode_into_per_sec": round(best(encode_into_pass), 1),
         "decode_per_sec": round(best(decode_pass), 1),
+    }
+
+
+def election_update_stream(candidates: int = 50, updates: int = 20_000, seed: int = 12):
+    """A fixed stream of Ω_lc inputs for a churning group of ``candidates``.
+
+    Items are ``("forward", sender, leader, acc)`` (the sender's stage-1
+    choice switched, mostly among the front-runners), ``("flip", pid)``
+    (a trust/suspect transition) and ``("accuse", pid, acc)`` (a process's
+    accusation time moved to "now"; pid 0 is the local process).
+    """
+    rng = random.Random(seed)
+    acc = {pid: pid / 100.0 for pid in range(candidates)}  # join times
+    stream = []
+    now = 1.0
+    for _ in range(updates):
+        now += 0.01
+        draw = rng.random()
+        if draw < 0.7:
+            leader = min(rng.randrange(candidates), rng.randrange(candidates))
+            stream.append(("forward", rng.randrange(1, candidates), leader, acc[leader]))
+        elif draw < 0.9:
+            stream.append(("flip", rng.randrange(1, candidates)))
+        else:
+            pid = rng.randrange(candidates)
+            acc[pid] = now
+            stream.append(("accuse", pid, now))
+    return stream
+
+
+def run_election_micro(candidates: int = 50, updates: int = 20_000, repeats: int = 3) -> Dict:
+    """Ω_lc updates/sec over :func:`election_update_stream` (best of
+    ``repeats``; each repeat starts from a fresh algorithm)."""
+    from tests.core.helpers import FakeContext, alive, member
+
+    stream = election_update_stream(candidates, updates)
+    wall = float("inf")
+    for _ in range(repeats):
+        ctx = FakeContext(local_pid=0, join_time=0.0)
+        for pid in range(candidates):
+            ctx.add_member(member(pid, joined=pid / 100.0))
+        ctx.trust(*range(1, candidates))
+        algorithm = ctx.attach(OmegaLc(ctx))
+        algorithm.start()
+        trusted = ctx.trusted_pids
+        start = time.perf_counter()
+        for item in stream:
+            kind = item[0]
+            if kind == "forward":
+                _, sender, leader, acc = item
+                algorithm.on_alive(
+                    alive(sender, 0.0, local_leader=leader, local_leader_acc=acc)
+                )
+            elif kind == "flip":
+                pid = item[1]
+                if pid in trusted:
+                    trusted.discard(pid)
+                    algorithm.on_suspect(pid)
+                else:
+                    trusted.add(pid)
+                    algorithm.on_trust(pid)
+            else:
+                _, pid, acc = item
+                ctx.set_time(acc)
+                if pid == 0:
+                    algorithm.on_accusation(algorithm.phase)
+                else:
+                    algorithm.on_alive(alive(pid, acc))
+            algorithm.leader()
+        wall = min(wall, time.perf_counter() - start)
+    return {
+        "candidates": candidates,
+        "updates": updates,
+        "updates_per_sec": round(updates / wall, 1),
     }
 
 
@@ -273,6 +358,9 @@ def run_micro_bench(skip_udp: bool = False, progress=None) -> Dict:
             f"encode_into {codec['encode_into_per_sec']:,.0f}/s, "
             f"decode {codec['decode_per_sec']:,.0f}/s"
         )
+    blob["election"] = run_election_micro()
+    if progress:
+        progress(f"election: {blob['election']['updates_per_sec']:,.0f} Ω_lc updates/s")
     if not skip_udp:
         blob["udp"] = run_udp_micro()
         if progress and blob["udp"] is not None:
@@ -291,8 +379,8 @@ def run_micro_bench(skip_udp: bool = False, progress=None) -> Dict:
 def compare_micro(baseline: dict, current: Dict, tolerance: float = 0.25) -> List[str]:
     """Regression-check ``current`` against the committed ``micro`` blob.
 
-    * codec rates, normalized by each run's calibration score, must stay
-      within ``tolerance`` of the baseline;
+    * codec and election rates, normalized by each run's calibration
+      score, must stay within ``tolerance`` of the baseline;
     * the UDP delivered ratio must stay above
       ``MIN_UDP_RATIO * (1 - tolerance)`` — the committed baseline is
       recorded at >= MIN_UDP_RATIO, and the tolerance absorbs shared-CI
@@ -303,19 +391,20 @@ def compare_micro(baseline: dict, current: Dict, tolerance: float = 0.25) -> Lis
     if base is None:
         return ["baseline has no 'micro' section (re-run tools/bench_micro.py --update)"]
     base_calibration = base.get("calibration_kops") or 1.0
-    base_codec = base.get("codec", {})
-    for key in ("encode_per_sec", "encode_into_per_sec", "decode_per_sec"):
-        base_rate = base_codec.get(key)
+    rates = [("codec", key) for key in ("encode_per_sec", "encode_into_per_sec", "decode_per_sec")]
+    rates.append(("election", "updates_per_sec"))
+    for family, key in rates:
+        base_rate = base.get(family, {}).get(key)
         if not base_rate:
             continue
-        norm = current["codec"][key] / current["calibration_kops"]
+        norm = current[family][key] / current["calibration_kops"]
         base_norm = base_rate / base_calibration
         if norm < (1.0 - tolerance) * base_norm:
             failures.append(
-                f"codec {key}: normalized throughput regressed "
+                f"{family} {key}: normalized throughput regressed "
                 f"{(1.0 - norm / base_norm) * 100:.1f}% "
                 f"(baseline {base_rate:,.0f}/s @ {base_calibration:,.0f} kops, "
-                f"current {current['codec'][key]:,.0f}/s @ "
+                f"current {current[family][key]:,.0f}/s @ "
                 f"{current['calibration_kops']:,.0f} kops)"
             )
     udp = current.get("udp")

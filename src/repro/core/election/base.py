@@ -82,10 +82,9 @@ class GroupContext:
     def membership_version(self) -> int:
         """Monotonic counter, bumped on every effective membership change.
 
-        Lets algorithms memoize derived state (Ω_lc's leader choice) with a
-        cheap validity stamp instead of re-deriving per event.  Optional:
-        contexts that do not implement it (bare test fakes) make algorithms
-        fall back to recomputing every time.
+        Lets algorithms keep derived state (Ω_lc's ordered candidate index)
+        behind a cheap validity stamp instead of re-deriving it per event.
+        Required: every context must implement it.
         """
         raise NotImplementedError
 

@@ -41,16 +41,32 @@ Implementation notes:
   the paper's 98.78%.
 * Every candidate keeps sending ALIVEs forever — the quadratic message load
   that Figure 6 contrasts against Ω_l's linear load.
+* The choice is maintained incrementally, so an event costs work in
+  proportion to what it changed rather than to the group size.  Stage 1
+  keeps the present candidates in a list sorted by ``(acc_time, pid)``; an
+  accusation-time change repositions one entry, a membership change rebuilds
+  the list, and the local leader is the first trusted entry.  Stage 2 keeps
+  every forward in a list sorted by its *raw* forwarded ``(acc, pid)``; the
+  key a forward is ranked by, ``max(acc, known acc of pid)``, is never below
+  its raw key, so the scan stops at the first raw key that cannot beat the
+  best found so far.  Each stage caches its result behind its own mutation
+  counter, so forward churn never rescans stage 1.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from bisect import bisect_left, insort
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.election.base import ElectionAlgorithm, GroupContext
 from repro.net.message import AccEntry, AliveCell, HelloMessage
 
 __all__ = ["OmegaLc"]
+
+#: A ranking key: ``(accusation_time, pid)``.
+Key = Tuple[float, int]
+#: A forward as the stage-2 index holds it: ``(acc, pid, forwarder)``.
+Forward = Tuple[float, int, int]
 
 
 class OmegaLc(ElectionAlgorithm):
@@ -66,33 +82,29 @@ class OmegaLc(ElectionAlgorithm):
         self.phase = 0
         #: Last (acc_time, phase) heard directly from each process.
         self._info: Dict[int, Tuple[float, int]] = {}
-        #: Last (local_leader, local_leader_acc) forwarded by each process.
-        self._forwards: Dict[int, Tuple[int, float]] = {}
+        #: Last forward from each forwarder, and all of them sorted (stage 2).
+        self._forwards: Dict[int, Forward] = {}
+        self._forward_index: List[Forward] = []
+        #: Present candidates sorted by their stage-1 key (_rank_key);
+        #: rebuilt whenever the membership version moves.
+        self._ranked: List[int] = []
+        self._ranked_version = -1
         self.accusations_received = 0
-        self._last_broadcast_local: Optional[Tuple[float, int]] = None
-        # Leader-choice memo.  The choice is a pure function of
-        # (_info, _forwards, acc_time, FD trust, membership); every mutation
-        # of the first three bumps _mutations, trust flips arrive through
-        # on_trust/on_suspect (which bump too), and membership changes bump
-        # the context's membership_version — so a (mutations, version) stamp
-        # identifies the inputs exactly and steady-state ALIVEs (identical
-        # piggybacked state, by far the common case) skip the O(members +
-        # forwards) recomputation entirely.  Contexts that do not expose a
-        # membership version (bare test fakes) disable the memo and compute
-        # every time, exactly as before.
+        self._last_broadcast_local: Optional[Key] = None
+        # Cached choices.  Every input mutation bumps _mutations (stage 2
+        # and emit_stamp); the subset stage 1 reads — a candidate's trust or
+        # accusation time — also bumps _rank_mutations.  Trust flips arrive
+        # through on_trust/on_suspect and membership moves through the
+        # rebuild above, so each cache is valid while its counter stands.
         self._mutations = 0
-        self._stamp_mutations = -1  # _mutations value the memo was built at
-        self._stamp_version = -1  # membership_version it was built at
-        self._cached_local: Optional[Tuple[float, int]] = None
-        self._cached_leader: Optional[Tuple[float, int]] = None
+        self._rank_mutations = 0
+        self._local_at = -1  # _rank_mutations value _local was computed at
+        self._leader_at = -1  # _mutations value _leader was computed at
+        self._local: Optional[Key] = None
+        self._leader: Optional[Key] = None
         #: Ω_lc's wants_to_send is constant (is_candidate), so the sender
         #: needs syncing exactly once per start, not once per refresh.
         self._sender_synced = False
-        try:
-            ctx.membership_version
-            self._cache_enabled = True
-        except (AttributeError, NotImplementedError):
-            self._cache_enabled = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -100,6 +112,7 @@ class OmegaLc(ElectionAlgorithm):
     def start(self) -> None:
         self.acc_time = self.ctx.join_time
         self._mutations += 1
+        self._rerank(self.ctx.local_pid)
         self._sender_synced = False
         super().start()
 
@@ -117,33 +130,34 @@ class OmegaLc(ElectionAlgorithm):
         local_leader = message.local_leader
         local_leader_acc = message.local_leader_acc
         if local_leader is not None and local_leader_acc is not None:
-            forward = (local_leader, local_leader_acc)
+            forward = (local_leader_acc, local_leader, pid)
             old = self._forwards.get(pid)
             if old != forward:
-                valid = self._memo_valid()
+                index = self._forward_index
+                if old is not None:
+                    del index[bisect_left(index, old)]
+                insort(index, forward)
                 self._forwards[pid] = forward
                 self._mutations += 1
-                if valid:
-                    self._repair_forward(pid, old, forward)
             # A forwarded accusation time is evidence about the forwarded
             # process too (accusation times are monotonic, max = freshest).
             self._observe_floor(local_leader, local_leader_acc)
         if self._mutations != mutations or not self._sender_synced:
             # An identical re-observation (the steady-state refresh cell)
             # mutated nothing; with unchanged inputs _refresh is a provable
-            # no-op (memo hit, same leader, same broadcast state) — skip it.
+            # no-op (cache hit, same leader, same broadcast state) — skip it.
             self._refresh()
 
     def on_trust(self, pid: int) -> None:
-        valid = self._memo_valid()
-        self._mutations += 1
+        valid = self._leader_valid()
+        self._trust_flipped(pid)
         if valid:
             self._repair_trust(pid)
         self._refresh()
 
     def on_suspect(self, pid: int) -> None:
-        valid = self._memo_valid()
-        self._mutations += 1
+        valid = self._leader_valid()
+        self._trust_flipped(pid)
         _, phase = self._info.get(pid, (0.0, 0))
         self.ctx.send_accuse(pid, phase)
         if valid:
@@ -156,6 +170,7 @@ class OmegaLc(ElectionAlgorithm):
         self.accusations_received += 1
         self.acc_time = self.ctx.now
         self._mutations += 1
+        self._rerank(self.ctx.local_pid)
         self._refresh()
         # Tell the group immediately: until our bumped accusation time is
         # out, everyone else still follows us while we already stepped down.
@@ -179,16 +194,16 @@ class OmegaLc(ElectionAlgorithm):
         if current is None or acc_time >= current[0]:
             observation = (acc_time, phase)
             if observation != current:  # identical re-observation: no-op
-                valid = self._memo_valid()
+                valid = self._leader_valid()
                 self._info[pid] = observation
                 self._mutations += 1
+                self._rerank(pid)
                 if valid and current is not None:
-                    # Memo repair (see _repair_forward): a phase-only change
-                    # touches no ranking key, and a *raised* accusation time
-                    # of a process that is not a cached choice only moves
-                    # already-losing keys further up — the minima stand.
+                    # A phase-only change touches no ranking key, and a
+                    # *raised* accusation time of a process that is not a
+                    # cached choice only moves already-losing keys up.
                     if acc_time == current[0] or not self._is_choice_pid(pid):
-                        self._stamp_mutations = self._mutations
+                        self._leader_at = self._mutations
 
     def _observe_floor(self, pid: int, acc_time: float) -> None:
         """Raise the known accusation time of ``pid`` from secondhand
@@ -199,122 +214,79 @@ class OmegaLc(ElectionAlgorithm):
         if current is None:
             self._info[pid] = (acc_time, 0)
             self._mutations += 1
+            self._rerank(pid)
         elif acc_time > current[0]:
-            valid = self._memo_valid()
+            valid = self._leader_valid()
             self._info[pid] = (acc_time, current[1])
             self._mutations += 1
+            self._rerank(pid)
             if valid and not self._is_choice_pid(pid):
-                self._stamp_mutations = self._mutations  # memo repair
+                self._leader_at = self._mutations  # cache repair
+
+    def _trust_flipped(self, pid: int) -> None:
+        self._mutations += 1
+        self._rank_mutations += 1
+
+    def _rerank(self, pid: int) -> None:
+        """Re-sort ``pid`` after its accusation time changed."""
+        ranked = self._ranked
+        if pid in ranked:
+            ranked.remove(pid)
+            insort(ranked, pid, key=self._rank_key)
+            self._rank_mutations += 1
 
     # ------------------------------------------------------------------
-    # Memo repair
+    # Cache repair
     # ------------------------------------------------------------------
-    def _memo_valid(self) -> bool:
-        """True iff the (stage-1, stage-2) memo matches the *current* state
-        — the precondition for advancing its stamps across a mutation."""
+    def _leader_valid(self) -> bool:
+        """True iff the cached choices match the *current* state — the
+        precondition for carrying them across a mutation."""
         return (
-            self._cache_enabled
-            and self._stamp_mutations == self._mutations
-            and self._stamp_version == self.ctx.membership_version
+            self._leader_at == self._mutations
+            and self._ranked_version == self.ctx.membership_version
         )
 
     def _is_choice_pid(self, pid: int) -> bool:
-        local = self._cached_local
+        local = self._local
         if local is not None and local[1] == pid:
             return True
-        leader = self._cached_leader
+        leader = self._leader
         return leader is not None and leader[1] == pid
 
-    def _repair_forward(
-        self,
-        forwarder: int,
-        old: Optional[Tuple[int, float]],
-        new: Tuple[int, float],
-    ) -> None:
-        """Carry the valid memo across one forward replacement, when possible.
-
-        Forward churn dominates the mutation stream on wide cells (every
-        sender re-forwards whenever *its* stage-1 choice flaps), yet almost
-        never moves this process's minima.  Replacing forwarder's pair
-        changes exactly one stage-2 key: if the old key was not the cached
-        minimum it cannot have supported it (keys are unique per forwarded
-        pid-value and the minimum is a value, not an identity), so the only
-        effects possible are "nothing" or "the new key wins outright" — both
-        O(1).  Anything else (the old key was, or tied, the minimum) leaves
-        the stamps stale and the next readout recomputes in full.  Stage 1
-        never reads forwards, so the cached local choice is untouched.
-        """
-        ctx = self.ctx
-        if not ctx.trusted(forwarder):
-            # An untrusted forwarder contributes to neither computation.
-            self._stamp_mutations = self._mutations
-            return
-        cached = self._cached_leader
-        if old is not None and ctx.is_present_candidate(old[0]):
-            known = self._acc_of(old[0])
-            old_key = (old[1] if old[1] >= known else known, old[0])
-            if cached is None or old_key <= cached:
-                return  # the old forward may have carried the minimum
-        new_pid, new_acc = new
-        if ctx.is_present_candidate(new_pid):
-            known = self._acc_of(new_pid)
-            key = (new_acc if new_acc >= known else known, new_pid)
-            if cached is None or key < cached:
-                self._cached_leader = key
-        self._stamp_mutations = self._mutations
-
     def _repair_trust(self, pid: int) -> None:
-        """Carry the valid memo across one trust addition, always possible.
-
-        Trusting ``pid`` only *adds* ranking keys: its stage-1 candidate
-        key, and — as a newly live forwarder — its stage-2 forward key.
-        An added key either loses to a cached minimum (which then stands)
-        or beats it outright; both cases are O(1), the mirror image of
-        :meth:`_repair_forward`.  A cluster bootstrap is exactly one such
-        transition per peer, so recomputing the O(n) minima on each was a
-        quadratic term per node on wide cells.
-        """
+        """Carry the cached leader across one trust addition: trusting
+        ``pid`` only *adds* its stage-1 key and its forward's key."""
         ctx = self.ctx
-        local = self._cached_local
-        leader = self._cached_leader
+        leader = self._leader
         if ctx.is_present_candidate(pid):
             key = (self._acc_of(pid), pid)
-            if local is None or key < local:
-                local = key
             if leader is None or key < leader:
                 leader = key
         forward = self._forwards.get(pid)
         if forward is not None:
-            fpid, facc = forward
+            facc, fpid, _ = forward
             if ctx.is_present_candidate(fpid):
                 known = self._acc_of(fpid)
                 fkey = (facc if facc >= known else known, fpid)
                 if leader is None or fkey < leader:
                     leader = fkey
-        self._cached_local = local
-        self._cached_leader = leader
-        self._stamp_mutations = self._mutations
+        self._leader = leader
+        self._leader_at = self._mutations
 
     def _repair_suspect(self, pid: int) -> None:
-        """Carry the valid memo across one trust withdrawal, when possible.
-
-        Suspecting ``pid`` *removes* its stage-1 key and its stage-2
-        forward key.  If neither could have supported a cached minimum —
-        ``pid`` is not a cached choice and its forward key ranks strictly
-        behind the cached leader — the minima stand.  Anything else leaves
-        the stamps stale and the next readout recomputes in full.
-        """
+        """Carry the cached leader across one trust withdrawal, unless
+        ``pid`` is a cached choice or its forward may have carried it."""
         if self._is_choice_pid(pid):
             return
         forward = self._forwards.get(pid)
         if forward is not None:
-            fpid, facc = forward
+            facc, fpid, _ = forward
             if self.ctx.is_present_candidate(fpid):
                 known = self._acc_of(fpid)
                 fkey = (facc if facc >= known else known, fpid)
-                if self._cached_leader is None or fkey <= self._cached_leader:
-                    return  # the dying forward may have carried the minimum
-        self._stamp_mutations = self._mutations
+                if self._leader is None or fkey <= self._leader:
+                    return
+        self._leader_at = self._mutations
 
     # ------------------------------------------------------------------
     # Leader computation
@@ -329,80 +301,55 @@ class OmegaLc(ElectionAlgorithm):
         joined = self.ctx.member_joined_at(pid)
         return joined if joined is not None else 0.0
 
-    def _current(self) -> Tuple[Optional[Tuple[float, int]], Optional[Tuple[float, int]]]:
-        """The memoized (stage-1, stage-2) choice pair (see __init__)."""
-        if self._cache_enabled:
-            mutations = self._mutations
-            version = self.ctx.membership_version
-            if self._stamp_mutations == mutations and self._stamp_version == version:
-                return self._cached_local, self._cached_leader
-            local = self._compute_local_leader()
-            self._cached_local = local
-            self._cached_leader = self._compute_leader(local)
-            self._stamp_mutations = mutations
-            self._stamp_version = version
-            return local, self._cached_leader
-        local = self._compute_local_leader()
-        return local, self._compute_leader(local)
+    def _rank_key(self, pid: int) -> Key:
+        return (self._acc_of(pid), pid)
 
-    def _compute_local_leader(self) -> Optional[Tuple[float, int]]:
+    def _local_choice(self) -> Optional[Key]:
+        """Stage 1, cached: the first trusted entry of the ranking."""
         ctx = self.ctx
-        local_pid = ctx.local_pid
-        info_get = self._info.get
-        trusted = ctx.trust_checker()
-        best: Optional[Tuple[float, int]] = None
-        for member in ctx.candidate_members():
-            pid = member.pid
-            if pid == local_pid:
-                if not ctx.is_candidate:
-                    continue
-                key = (self.acc_time, pid)
-            elif trusted(pid):
-                entry = info_get(pid)
-                if entry is not None:
-                    key = (entry[0], pid)
-                else:  # never heard from: ranked by its join time
-                    joined = ctx.member_joined_at(pid)
-                    key = (joined if joined is not None else 0.0, pid)
-            else:
-                continue
-            if best is None or key < best:
-                best = key
-        return best
+        version = ctx.membership_version
+        if version != self._ranked_version:
+            local_pid = ctx.local_pid
+            self._ranked = sorted(
+                (m.pid for m in ctx.candidate_members() if m.pid != local_pid or ctx.is_candidate),
+                key=self._rank_key,
+            )
+            self._ranked_version = version
+            self._local_at = self._leader_at = -1
+        if self._local_at != self._rank_mutations:
+            trusted = ctx.trust_checker()
+            pid = next((pid for pid in self._ranked if trusted(pid)), None)
+            self._local = None if pid is None else self._rank_key(pid)
+            self._local_at = self._rank_mutations
+        return self._local
 
-    def _compute_leader(
-        self, local: Optional[Tuple[float, int]]
-    ) -> Optional[Tuple[float, int]]:
+    def _current(self) -> Tuple[Optional[Key], Optional[Key]]:
+        """The cached (stage-1, stage-2) choice pair."""
+        local = self._local_choice()
+        if self._leader_at == self._mutations:
+            return local, self._leader
         ctx = self.ctx
-        trusted = ctx.trust_checker()
-        is_present_candidate = ctx.is_present_candidate
-        # Inline of _acc_of, with the lookup chain hoisted: this loop runs
-        # once per forwarder per recompute (O(members) on wide cells).
-        local_pid = ctx.local_pid
-        own_acc = self.acc_time
-        info_get = self._info.get
-        member_joined_at = ctx.member_joined_at
+        trusted = None
         best = local
-        for forwarder, (pid, acc) in self._forwards.items():
+        for entry in self._forward_index:
+            if best is not None and entry >= best:
+                break  # a raw key bounds its effective key from below
+            acc, pid, forwarder = entry
+            if trusted is None:
+                trusted = ctx.trust_checker()
             if not trusted(forwarder):
                 continue
-            if not is_present_candidate(pid):
+            if not ctx.is_present_candidate(pid):
                 continue  # stale forward of a process that left the group
-            if pid == local_pid:
-                known = own_acc
-            else:
-                entry = info_get(pid)
-                if entry is not None:
-                    known = entry[0]
-                else:
-                    joined = member_joined_at(pid)
-                    known = joined if joined is not None else 0.0
+            known = self._acc_of(pid)
             key = (acc if acc >= known else known, pid)
             if best is None or key < best:
                 best = key
-        return best
+        self._leader = best
+        self._leader_at = self._mutations
+        return local, best
 
-    def local_leader(self) -> Optional[Tuple[float, int]]:
+    def local_leader(self) -> Optional[Key]:
         """Stage 1: earliest (acc, pid) among trusted candidates ∪ self."""
         return self._current()[0]
 
@@ -421,9 +368,8 @@ class OmegaLc(ElectionAlgorithm):
     # Outputs
     # ------------------------------------------------------------------
     def _refresh(self) -> None:
-        """One memo lookup serves both the stage-2 view-change check and the
-        stage-1 broadcast check; side-effect order (sync_sender, leader view
-        notification, flush request) is identical to the uncached path."""
+        """One cache lookup serves both the stage-2 view-change check and
+        the stage-1 broadcast check."""
         if not self._started:
             return
         self._pre_refresh()

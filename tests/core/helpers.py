@@ -40,6 +40,7 @@ class FakeContext(GroupContext):
         self._join_time = join_time
         self._now = join_time
         self.members: Dict[int, MemberInfo] = {}
+        self.version = 0
         self.trusted_pids: Set[int] = set()
         self.accusations: List[Tuple[int, int]] = []  # (accused, phase)
         self.monitored: List[int] = []
@@ -55,6 +56,7 @@ class FakeContext(GroupContext):
 
     def add_member(self, record: MemberInfo):
         self.members[record.pid] = record
+        self.version += 1
 
     def set_time(self, t: float):
         self._now = t
@@ -95,6 +97,10 @@ class FakeContext(GroupContext):
     def member_joined_at(self, pid):
         record = self.members.get(pid)
         return record.joined_at if record is not None else None
+
+    @property
+    def membership_version(self):
+        return self.version
 
     def send_accuse(self, accused, accused_phase):
         self.accusations.append((accused, accused_phase))
