@@ -149,19 +149,15 @@ class OmegaLc(ElectionAlgorithm):
             self._refresh()
 
     def on_trust(self, pid: int) -> None:
-        valid = self._leader_valid()
-        self._trust_flipped(pid)
-        if valid:
-            self._repair_trust(pid)
+        self._mutations += 1
+        self._rank_mutations += 1
         self._refresh()
 
     def on_suspect(self, pid: int) -> None:
-        valid = self._leader_valid()
-        self._trust_flipped(pid)
+        self._mutations += 1
+        self._rank_mutations += 1
         _, phase = self._info.get(pid, (0.0, 0))
         self.ctx.send_accuse(pid, phase)
-        if valid:
-            self._repair_suspect(pid)
         self._refresh()
 
     def on_accusation(self, accused_phase: int) -> bool:
@@ -194,16 +190,9 @@ class OmegaLc(ElectionAlgorithm):
         if current is None or acc_time >= current[0]:
             observation = (acc_time, phase)
             if observation != current:  # identical re-observation: no-op
-                valid = self._leader_valid()
                 self._info[pid] = observation
                 self._mutations += 1
                 self._rerank(pid)
-                if valid and current is not None:
-                    # A phase-only change touches no ranking key, and a
-                    # *raised* accusation time of a process that is not a
-                    # cached choice only moves already-losing keys up.
-                    if acc_time == current[0] or not self._is_choice_pid(pid):
-                        self._leader_at = self._mutations
 
     def _observe_floor(self, pid: int, acc_time: float) -> None:
         """Raise the known accusation time of ``pid`` from secondhand
@@ -211,21 +200,10 @@ class OmegaLc(ElectionAlgorithm):
         if pid == self.ctx.local_pid:
             return
         current = self._info.get(pid)
-        if current is None:
-            self._info[pid] = (acc_time, 0)
+        if current is None or acc_time > current[0]:
+            self._info[pid] = (acc_time, 0 if current is None else current[1])
             self._mutations += 1
             self._rerank(pid)
-        elif acc_time > current[0]:
-            valid = self._leader_valid()
-            self._info[pid] = (acc_time, current[1])
-            self._mutations += 1
-            self._rerank(pid)
-            if valid and not self._is_choice_pid(pid):
-                self._leader_at = self._mutations  # cache repair
-
-    def _trust_flipped(self, pid: int) -> None:
-        self._mutations += 1
-        self._rank_mutations += 1
 
     def _rerank(self, pid: int) -> None:
         """Re-sort ``pid`` after its accusation time changed."""
@@ -234,59 +212,6 @@ class OmegaLc(ElectionAlgorithm):
             ranked.remove(pid)
             insort(ranked, pid, key=self._rank_key)
             self._rank_mutations += 1
-
-    # ------------------------------------------------------------------
-    # Cache repair
-    # ------------------------------------------------------------------
-    def _leader_valid(self) -> bool:
-        """True iff the cached choices match the *current* state — the
-        precondition for carrying them across a mutation."""
-        return (
-            self._leader_at == self._mutations
-            and self._ranked_version == self.ctx.membership_version
-        )
-
-    def _is_choice_pid(self, pid: int) -> bool:
-        local = self._local
-        if local is not None and local[1] == pid:
-            return True
-        leader = self._leader
-        return leader is not None and leader[1] == pid
-
-    def _repair_trust(self, pid: int) -> None:
-        """Carry the cached leader across one trust addition: trusting
-        ``pid`` only *adds* its stage-1 key and its forward's key."""
-        ctx = self.ctx
-        leader = self._leader
-        if ctx.is_present_candidate(pid):
-            key = (self._acc_of(pid), pid)
-            if leader is None or key < leader:
-                leader = key
-        forward = self._forwards.get(pid)
-        if forward is not None:
-            facc, fpid, _ = forward
-            if ctx.is_present_candidate(fpid):
-                known = self._acc_of(fpid)
-                fkey = (facc if facc >= known else known, fpid)
-                if leader is None or fkey < leader:
-                    leader = fkey
-        self._leader = leader
-        self._leader_at = self._mutations
-
-    def _repair_suspect(self, pid: int) -> None:
-        """Carry the cached leader across one trust withdrawal, unless
-        ``pid`` is a cached choice or its forward may have carried it."""
-        if self._is_choice_pid(pid):
-            return
-        forward = self._forwards.get(pid)
-        if forward is not None:
-            facc, fpid, _ = forward
-            if self.ctx.is_present_candidate(fpid):
-                known = self._acc_of(fpid)
-                fkey = (facc if facc >= known else known, fpid)
-                if self._leader is None or fkey <= self._leader:
-                    return
-        self._leader_at = self._mutations
 
     # ------------------------------------------------------------------
     # Leader computation
@@ -337,8 +262,8 @@ class OmegaLc(ElectionAlgorithm):
             acc, pid, forwarder = entry
             if trusted is None:
                 trusted = ctx.trust_checker()
-            if not trusted(forwarder):
-                continue
+            if not ctx.is_present_candidate(forwarder) or not trusted(forwarder):
+                continue  # a process that left the group has no say
             if not ctx.is_present_candidate(pid):
                 continue  # stale forward of a process that left the group
             known = self._acc_of(pid)
@@ -351,10 +276,11 @@ class OmegaLc(ElectionAlgorithm):
 
     def local_leader(self) -> Optional[Key]:
         """Stage 1: earliest (acc, pid) among trusted candidates ∪ self."""
-        return self._current()[0]
+        return self._local_choice()
 
     def leader(self) -> Optional[int]:
-        """Stage 2: earliest among own local leader and trusted forwards.
+        """Stage 2: earliest among own local leader and the forwards of
+        trusted present candidates.
 
         Each forwarded pair is evaluated with the freshest accusation time we
         know for the forwarded process (monotonicity: max of the reported and

@@ -167,6 +167,22 @@ class TestForwarding:
         algo.on_alive(alive(2, acc_time=5.0, local_leader=1, local_leader_acc=0.5))
         assert algo.leader() == 2
 
+    def test_forward_from_departed_forwarder_ignored(self):
+        """A process that left the group has no say: its last forward stops
+        counting although its node stays up (so it still reads trusted)."""
+        ctx = FakeContext(local_pid=3, join_time=10.0)
+        for pid in (1, 2, 3):
+            ctx.add_member(member(pid))
+        ctx.trust(2)  # we cannot hear 1 directly
+        algo = make(ctx)
+        algo.start()
+        algo.on_alive(alive(2, acc_time=5.0, local_leader=1, local_leader_acc=0.5))
+        assert algo.leader() == 1
+        ctx.add_member(member(2, present=False))  # 2 leaves the group
+        algo.on_membership_changed()
+        assert ctx.trusted(2)
+        assert algo.leader() == 3
+
     def test_fresh_accusation_supersedes_stale_forward(self):
         """Monotonicity: once we know ℓ's accusation time was bumped, stale
         forwards of ℓ must not keep it in power."""

@@ -18,11 +18,12 @@ from repro.net.message import AccEntry, HelloMessage
 from tests.core.helpers import FakeContext, alive, member
 
 LOCAL = 0
-PIDS = range(1, 7)
+#: Few pids and few accusation times, so that ties and collisions are common.
+PIDS = range(1, 5)
 #: Forwarded leaders may also name the local process and pids that never
 #: joined or already left.
-NAMED = range(0, 9)
-ACCS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+NAMED = range(0, 6)
+ACCS = st.sampled_from([0.0, 1.0, 2.0])
 
 _alive = st.tuples(
     st.just("alive"),
@@ -83,7 +84,9 @@ class Reference:
         ctx = self.ctx
         best = self.local_leader()
         for forwarder, (pid, acc) in self.forwards.items():
-            if not ctx.trusted(forwarder) or not ctx.is_present_candidate(pid):
+            if not ctx.trusted(forwarder) or not ctx.is_present_candidate(forwarder):
+                continue  # only present candidates forward
+            if not ctx.is_present_candidate(pid):
                 continue
             key = (max(acc, self.acc_of(pid)), pid)
             if best is None or key < best:
@@ -144,7 +147,7 @@ def _apply(op, ctx, algo, ref):
 
 class TestIncrementalChoiceMatchesScan:
     @given(_ops, st.booleans(), st.sets(st.sampled_from(PIDS)))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     def test_both_stages_match_reference_after_every_step(
         self, ops, local_candidate, initial_members
     ):
