@@ -168,25 +168,39 @@ def election_update_stream(candidates: int = 50, updates: int = 20_000, seed: in
     """A fixed stream of Ω_lc inputs for a churning group of ``candidates``.
 
     Items are ``("forward", sender, leader, acc)`` (the sender's stage-1
-    choice switched, mostly among the front-runners), ``("flip", pid)``
-    (a trust/suspect transition) and ``("accuse", pid, acc)`` (a process's
-    accusation time moved to "now"; pid 0 is the local process).
+    choice switched), ``("flip", pid)`` (a trust/suspect transition; at
+    most three front-runners are suspected at a time) and ``("accuse", pid,
+    acc)`` (a front-runner's accusation time moved to "now", as when a
+    leader is killed or falsely suspected).  Half the forward switches name
+    the current front-runner and half one of the next three, so a switch
+    often moves a forward *away from* the leader — the pattern churn
+    produces.  Pid 0 is the local process; it joined last.
     """
     rng = random.Random(seed)
-    acc = {pid: pid / 100.0 for pid in range(candidates)}  # join times
+    acc = {pid: pid / 100.0 for pid in range(1, candidates)}
+    acc[0] = 1.0
+    ranking = sorted(acc, key=lambda pid: (acc[pid], pid))
+    suspected: List[int] = []
     stream = []
     now = 1.0
     for _ in range(updates):
         now += 0.01
         draw = rng.random()
         if draw < 0.7:
-            leader = min(rng.randrange(candidates), rng.randrange(candidates))
+            leader = ranking[0] if rng.random() < 0.5 else ranking[rng.randrange(1, 4)]
             stream.append(("forward", rng.randrange(1, candidates), leader, acc[leader]))
         elif draw < 0.9:
-            stream.append(("flip", rng.randrange(1, candidates)))
+            if suspected and (len(suspected) == 3 or rng.random() < 0.5):
+                pid = suspected.pop(rng.randrange(len(suspected)))
+            else:
+                pid = rng.choice([p for p in ranking[:5] if p and p not in suspected])
+                suspected.append(pid)
+            stream.append(("flip", pid))
         else:
-            pid = rng.randrange(candidates)
+            pid = ranking[rng.randrange(4)]
             acc[pid] = now
+            ranking.remove(pid)
+            ranking.append(pid)
             stream.append(("accuse", pid, now))
     return stream
 
@@ -199,8 +213,9 @@ def run_election_micro(candidates: int = 50, updates: int = 20_000, repeats: int
     stream = election_update_stream(candidates, updates)
     wall = float("inf")
     for _ in range(repeats):
-        ctx = FakeContext(local_pid=0, join_time=0.0)
-        for pid in range(candidates):
+        ctx = FakeContext(local_pid=0, join_time=1.0)
+        ctx.add_member(member(0, joined=1.0))
+        for pid in range(1, candidates):
             ctx.add_member(member(pid, joined=pid / 100.0))
         ctx.trust(*range(1, candidates))
         algorithm = ctx.attach(OmegaLc(ctx))

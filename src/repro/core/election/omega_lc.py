@@ -42,21 +42,21 @@ Implementation notes:
 * Every candidate keeps sending ALIVEs forever — the quadratic message load
   that Figure 6 contrasts against Ω_l's linear load.
 * The choice is maintained incrementally, so an event costs work in
-  proportion to what it changed rather than to the group size.  Stage 1
-  keeps the present candidates in a list sorted by ``(acc_time, pid)``; an
-  accusation-time change repositions one entry, a membership change rebuilds
-  the list, and the local leader is the first trusted entry.  Stage 2 keeps
-  every forward in a list sorted by its *raw* forwarded ``(acc, pid)``; the
-  key a forward is ranked by, ``max(acc, known acc of pid)``, is never below
-  its raw key, so the scan stops at the first raw key that cannot beat the
-  best found so far.  Each stage caches its result behind its own mutation
-  counter, so forward churn never rescans stage 1.
+  proportion to what it changed rather than to the group size.  The present
+  candidates are kept in a list sorted by ``(acc_time, pid)``: an
+  accusation-time change repositions one entry and a membership change
+  rebuilds the list.  Both stages then read the same short prefix of it.
+  The local leader is the first trusted entry.  Because every forwarded
+  accusation time is also ingested as evidence, a forward of ``q`` ranks
+  exactly at ``q``'s own entry.  So the leader is the first entry that is
+  trusted or forwarded by a trusted present candidate, and forwards are
+  indexed only by the pid they name.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from typing import Dict, List, Optional, Tuple
+from bisect import insort
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.election.base import ElectionAlgorithm, GroupContext
 from repro.net.message import AccEntry, AliveCell, HelloMessage
@@ -65,8 +65,6 @@ __all__ = ["OmegaLc"]
 
 #: A ranking key: ``(accusation_time, pid)``.
 Key = Tuple[float, int]
-#: A forward as the stage-2 index holds it: ``(acc, pid, forwarder)``.
-Forward = Tuple[float, int, int]
 
 
 class OmegaLc(ElectionAlgorithm):
@@ -82,24 +80,22 @@ class OmegaLc(ElectionAlgorithm):
         self.phase = 0
         #: Last (acc_time, phase) heard directly from each process.
         self._info: Dict[int, Tuple[float, int]] = {}
-        #: Last forward from each forwarder, and all of them sorted (stage 2).
-        self._forwards: Dict[int, Forward] = {}
-        self._forward_index: List[Forward] = []
-        #: Present candidates sorted by their stage-1 key (_rank_key);
-        #: rebuilt whenever the membership version moves.
+        #: Last (local_leader, local_leader_acc) forwarded by each process,
+        #: and the forwarders currently naming each pid.
+        self._forwards: Dict[int, Tuple[int, float]] = {}
+        self._forwarders: Dict[int, Set[int]] = {}
+        #: Present candidates sorted by _rank_key; rebuilt whenever the
+        #: membership version moves.
         self._ranked: List[int] = []
         self._ranked_version = -1
         self.accusations_received = 0
         self._last_broadcast_local: Optional[Key] = None
-        # Cached choices.  Every input mutation bumps _mutations (stage 2
-        # and emit_stamp); the subset stage 1 reads — a candidate's trust or
-        # accusation time — also bumps _rank_mutations.  Trust flips arrive
-        # through on_trust/on_suspect and membership moves through the
-        # rebuild above, so each cache is valid while its counter stands.
+        # Cached (stage-1, stage-2) choice.  Every input mutation bumps
+        # _mutations, trust flips arrive through on_trust/on_suspect (which
+        # bump too), and membership moves rebuild the ranking, so the cache
+        # is valid while _mutations stands.
         self._mutations = 0
-        self._rank_mutations = 0
-        self._local_at = -1  # _rank_mutations value _local was computed at
-        self._leader_at = -1  # _mutations value _leader was computed at
+        self._choice_at = -1  # _mutations value the choice was computed at
         self._local: Optional[Key] = None
         self._leader: Optional[Key] = None
         #: Ω_lc's wants_to_send is constant (is_candidate), so the sender
@@ -130,13 +126,13 @@ class OmegaLc(ElectionAlgorithm):
         local_leader = message.local_leader
         local_leader_acc = message.local_leader_acc
         if local_leader is not None and local_leader_acc is not None:
-            forward = (local_leader_acc, local_leader, pid)
+            forward = (local_leader, local_leader_acc)
             old = self._forwards.get(pid)
             if old != forward:
-                index = self._forward_index
-                if old is not None:
-                    del index[bisect_left(index, old)]
-                insort(index, forward)
+                if old is None or old[0] != local_leader:
+                    if old is not None:
+                        self._forwarders[old[0]].discard(pid)
+                    self._forwarders.setdefault(local_leader, set()).add(pid)
                 self._forwards[pid] = forward
                 self._mutations += 1
             # A forwarded accusation time is evidence about the forwarded
@@ -150,12 +146,10 @@ class OmegaLc(ElectionAlgorithm):
 
     def on_trust(self, pid: int) -> None:
         self._mutations += 1
-        self._rank_mutations += 1
         self._refresh()
 
     def on_suspect(self, pid: int) -> None:
         self._mutations += 1
-        self._rank_mutations += 1
         _, phase = self._info.get(pid, (0.0, 0))
         self.ctx.send_accuse(pid, phase)
         self._refresh()
@@ -211,7 +205,6 @@ class OmegaLc(ElectionAlgorithm):
         if pid in ranked:
             ranked.remove(pid)
             insort(ranked, pid, key=self._rank_key)
-            self._rank_mutations += 1
 
     # ------------------------------------------------------------------
     # Leader computation
@@ -229,8 +222,8 @@ class OmegaLc(ElectionAlgorithm):
     def _rank_key(self, pid: int) -> Key:
         return (self._acc_of(pid), pid)
 
-    def _local_choice(self) -> Optional[Key]:
-        """Stage 1, cached: the first trusted entry of the ranking."""
+    def _current(self) -> Tuple[Optional[Key], Optional[Key]]:
+        """The cached (stage-1, stage-2) choice pair (see the module notes)."""
         ctx = self.ctx
         version = ctx.membership_version
         if version != self._ranked_version:
@@ -240,52 +233,38 @@ class OmegaLc(ElectionAlgorithm):
                 key=self._rank_key,
             )
             self._ranked_version = version
-            self._local_at = self._leader_at = -1
-        if self._local_at != self._rank_mutations:
+            self._choice_at = -1
+        if self._choice_at != self._mutations:
             trusted = ctx.trust_checker()
-            pid = next((pid for pid in self._ranked if trusted(pid)), None)
-            self._local = None if pid is None else self._rank_key(pid)
-            self._local_at = self._rank_mutations
-        return self._local
-
-    def _current(self) -> Tuple[Optional[Key], Optional[Key]]:
-        """The cached (stage-1, stage-2) choice pair."""
-        local = self._local_choice()
-        if self._leader_at == self._mutations:
-            return local, self._leader
-        ctx = self.ctx
-        trusted = None
-        best = local
-        for entry in self._forward_index:
-            if best is not None and entry >= best:
-                break  # a raw key bounds its effective key from below
-            acc, pid, forwarder = entry
-            if trusted is None:
-                trusted = ctx.trust_checker()
-            if not ctx.is_present_candidate(forwarder) or not trusted(forwarder):
-                continue  # a process that left the group has no say
-            if not ctx.is_present_candidate(pid):
-                continue  # stale forward of a process that left the group
-            known = self._acc_of(pid)
-            key = (acc if acc >= known else known, pid)
-            if best is None or key < best:
-                best = key
-        self._leader = best
-        self._leader_at = self._mutations
-        return local, best
+            forwarders = self._forwarders
+            local = leader = None
+            for pid in self._ranked:
+                if trusted(pid):
+                    local = self._rank_key(pid)
+                    break
+                # Stage 2 may still pick an untrusted candidate that a trusted
+                # present candidate forwards (a process that left has no say).
+                if leader is None and any(
+                    ctx.is_present_candidate(f) and trusted(f) for f in forwarders.get(pid, ())
+                ):
+                    leader = self._rank_key(pid)
+            self._local = local
+            self._leader = local if leader is None else leader
+            self._choice_at = self._mutations
+        return self._local, self._leader
 
     def local_leader(self) -> Optional[Key]:
         """Stage 1: earliest (acc, pid) among trusted candidates ∪ self."""
-        return self._local_choice()
+        return self._current()[0]
 
     def leader(self) -> Optional[int]:
         """Stage 2: earliest among own local leader and the forwards of
         trusted present candidates.
 
-        Each forwarded pair is evaluated with the freshest accusation time we
-        know for the forwarded process (monotonicity: max of the reported and
-        locally-known values), so one up-to-date report immediately
-        supersedes any number of stale forwards of a demoted leader.
+        Each forwarded pid is ranked by the freshest accusation time we know
+        for it (monotonicity: the forwarded value was ingested too), so one
+        up-to-date report immediately supersedes any number of stale
+        forwards of a demoted leader.
         """
         best = self._current()[1]
         return best[1] if best is not None else None

@@ -144,6 +144,20 @@ class TestForwarding:
         assert algo.local_leader() == (5.0, 2)  # stage 1 can't see 1
         assert algo.leader() == 1  # stage 2 follows the forward
 
+    def test_earliest_of_several_forwarded_leaders_wins(self):
+        """Stage 2 takes the minimum over all forwards, not the first or
+        the last one found."""
+        ctx = FakeContext(local_pid=5, join_time=10.0)
+        for pid in (1, 2, 3, 4, 5):
+            ctx.add_member(member(pid, joined=float(pid)))
+        ctx.trust(3, 4)  # we hear neither 1 nor 2 directly
+        algo = make(ctx)
+        algo.start()
+        algo.on_alive(alive(3, acc_time=3.0, local_leader=2, local_leader_acc=2.0))
+        algo.on_alive(alive(4, acc_time=4.0, local_leader=1, local_leader_acc=1.0))
+        assert algo.local_leader() == (3.0, 3)
+        assert algo.leader() == 1
+
     def test_forward_from_untrusted_peer_ignored(self):
         ctx = FakeContext(local_pid=3, join_time=10.0)
         for pid in (1, 2, 3):

@@ -23,7 +23,7 @@ PIDS = range(1, 5)
 #: Forwarded leaders may also name the local process and pids that never
 #: joined or already left.
 NAMED = range(0, 6)
-ACCS = st.sampled_from([0.0, 1.0, 2.0])
+ACCS = st.sampled_from([0.0, 1.0, 1.5, 2.0])
 
 _alive = st.tuples(
     st.just("alive"),
@@ -40,7 +40,9 @@ _hello = st.tuples(
 )
 _join = st.tuples(st.just("join"), st.sampled_from(PIDS), ACCS, st.booleans())
 _leave = st.tuples(st.just("leave"), st.sampled_from(PIDS))
-_ops = st.lists(st.one_of(_alive, _flip, _accuse, _hello, _join, _leave), max_size=60)
+_ops = st.lists(
+    st.one_of(_alive, _alive, _flip, _flip, _accuse, _hello, _join, _leave), max_size=60
+)
 
 
 class Reference:
@@ -126,7 +128,7 @@ def _apply(op, ctx, algo, ref):
             ctx.trust(pid)
             algo.on_trust(pid)
     elif kind == "accuse":
-        ctx.set_time(ctx.now + 1.0)
+        ctx.set_time(ctx.now + 0.5)
         if algo.on_accusation(algo.phase):
             ref.own_acc = ctx.now
     elif kind == "hello":
