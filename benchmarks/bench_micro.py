@@ -32,8 +32,8 @@ the CI perf-smoke job via ``tools/bench_micro.py``:
   applied on re-runs) so the batched path can never silently regress
   into being pointless.
 
-Both benches are wall-clock measurements of real syscalls; keep them
-short (a few seconds) — they run in CI on shared machines.
+All three are wall-clock measurements (the UDP one of real syscalls);
+keep them short (a few seconds) — they run in CI on shared machines.
 """
 
 from __future__ import annotations

@@ -158,6 +158,20 @@ class TestForwarding:
         assert algo.local_leader() == (3.0, 3)
         assert algo.leader() == 1
 
+    def test_switched_forward_withdraws_support(self):
+        """Once a peer forwards someone else, its old forward stops
+        counting."""
+        ctx = FakeContext(local_pid=3, join_time=10.0)
+        for pid in (1, 2, 3):
+            ctx.add_member(member(pid))
+        ctx.trust(2)
+        algo = make(ctx)
+        algo.start()
+        algo.on_alive(alive(2, acc_time=5.0, local_leader=1, local_leader_acc=0.5))
+        assert algo.leader() == 1
+        algo.on_alive(alive(2, acc_time=5.0, local_leader=2, local_leader_acc=5.0))
+        assert algo.leader() == 2
+
     def test_forward_from_untrusted_peer_ignored(self):
         ctx = FakeContext(local_pid=3, join_time=10.0)
         for pid in (1, 2, 3):
