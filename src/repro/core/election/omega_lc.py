@@ -80,9 +80,10 @@ class OmegaLc(ElectionAlgorithm):
         self.phase = 0
         #: Last (acc_time, phase) heard directly from each process.
         self._info: Dict[int, Tuple[float, int]] = {}
-        #: Last (local_leader, local_leader_acc) forwarded by each process,
-        #: and the forwarders currently naming each pid.
-        self._forwards: Dict[int, Tuple[int, float]] = {}
+        #: Last local leader forwarded by each process, and the forwarders
+        #: currently naming each pid (a pid nobody names has no entry).  The
+        #: forwarded accusation time is not kept: it is ingested as evidence.
+        self._forwards: Dict[int, int] = {}
         self._forwarders: Dict[int, Set[int]] = {}
         #: Present candidates sorted by _rank_key; rebuilt whenever the
         #: membership version moves.
@@ -126,14 +127,15 @@ class OmegaLc(ElectionAlgorithm):
         local_leader = message.local_leader
         local_leader_acc = message.local_leader_acc
         if local_leader is not None and local_leader_acc is not None:
-            forward = (local_leader, local_leader_acc)
             old = self._forwards.get(pid)
-            if old != forward:
-                if old is None or old[0] != local_leader:
-                    if old is not None:
-                        self._forwarders[old[0]].discard(pid)
-                    self._forwarders.setdefault(local_leader, set()).add(pid)
-                self._forwards[pid] = forward
+            if old != local_leader:
+                if old is not None:
+                    named = self._forwarders[old]
+                    named.discard(pid)
+                    if not named:
+                        del self._forwarders[old]
+                self._forwarders.setdefault(local_leader, set()).add(pid)
+                self._forwards[pid] = local_leader
                 self._mutations += 1
             # A forwarded accusation time is evidence about the forwarded
             # process too (accusation times are monotonic, max = freshest).

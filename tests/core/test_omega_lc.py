@@ -172,6 +172,23 @@ class TestForwarding:
         algo.on_alive(alive(2, acc_time=5.0, local_leader=2, local_leader_acc=5.0))
         assert algo.leader() == 2
 
+    def test_forward_index_keeps_only_named_pids(self):
+        """A switched forward leaves no empty entry for the pid it stopped
+        naming, and a stale forwarded accusation time alone changes no
+        input."""
+        ctx = FakeContext(local_pid=3, join_time=10.0)
+        for pid in (1, 2, 3):
+            ctx.add_member(member(pid))
+        ctx.trust(2)
+        algo = make(ctx)
+        algo.start()
+        algo.on_alive(alive(2, acc_time=5.0, local_leader=1, local_leader_acc=0.5))
+        algo.on_alive(alive(2, acc_time=5.0, local_leader=2, local_leader_acc=5.0))
+        assert algo._forwarders == {2: {2}}
+        stamp = algo.emit_stamp()
+        algo.on_alive(alive(2, acc_time=5.0, local_leader=2, local_leader_acc=4.0))
+        assert algo.emit_stamp() == stamp
+
     def test_forward_from_untrusted_peer_ignored(self):
         ctx = FakeContext(local_pid=3, join_time=10.0)
         for pid in (1, 2, 3):
