@@ -17,7 +17,8 @@ the CI perf-smoke job via ``tools/bench_micro.py``:
 * **election** — Ω_lc leader-choice updates/sec: one 50-candidate
   :class:`~repro.core.election.omega_lc.OmegaLc` on the unit tests'
   ``FakeContext``, fed a fixed seeded stream of forward switches, trust
-  flips and accusation-time bumps (the mix a churning group produces).
+  flips and accusation-time bumps drawn from the mix counted on
+  perfbench's ``churn_swim`` workload (:data:`CHURN_SWIM_MIX`).
   Every update ends in a leader readout; the rate is normalized by the
   calibration score, like the codec rates.
 
@@ -65,6 +66,7 @@ from repro.runtime.codec import (
 
 __all__ = [
     "MIN_UDP_RATIO",
+    "CHURN_SWIM_MIX",
     "codec_frame_mix",
     "run_codec_micro",
     "election_update_stream",
@@ -164,40 +166,64 @@ def run_codec_micro(iterations: int = 20_000, repeats: int = 3) -> Dict:
     }
 
 
-def election_update_stream(candidates: int = 50, updates: int = 20_000, seed: int = 12):
-    """A fixed stream of Ω_lc inputs for a churning group of ``candidates``.
+#: Ω_lc inputs counted over all 50 nodes in one repetition of perfbench's
+#: ``churn_swim`` workload (seed 1), bucketed by the position of the pid
+#: involved in the receiving node's ``(acc_time, pid)`` ranking: ranks 0,
+#: 1-3, 4-9 and 10+.  "forward": an ALIVE whose forwarded local leader
+#: differs from the sender's previous one, by the rank of the newly named
+#: pid.  "flip": an ``on_trust``/``on_suspect`` call.  "accuse": an ALIVE
+#: carrying a later accusation time than known for its sender.  (Omitted:
+#: 8,817 ALIVEs that changed nothing, 2,303 HELLO seeds and 377 local
+#: accusations.)
+CHURN_SWIM_MIX = {
+    "forward": (22_650, 50_173, 0, 675),
+    "flip": (1_192, 678, 1_268, 14_588),
+    "accuse": (991, 386, 440, 15_254),
+}
+_RANK_BUCKETS = ((0, 1), (1, 4), (4, 10), (10, None))
+#: Cap on concurrent suspects (churn_swim had 9 or more at 37 % of flips).
+_MAX_SUSPECTS = 9
 
-    Items are ``("forward", sender, leader, acc)`` (the sender's stage-1
-    choice switched), ``("flip", pid)`` (a trust/suspect transition; at
-    most three front-runners are suspected at a time) and ``("accuse", pid,
-    acc)`` (a front-runner's accusation time moved to "now", as when a
-    leader is killed or falsely suspected).  Half the forward switches name
-    the current front-runner and half one of the next three, so a switch
-    often moves a forward *away from* the leader — the pattern churn
-    produces.  Pid 0 is the local process; it joined last.
+
+def election_update_stream(candidates: int = 50, updates: int = 20_000, seed: int = 12):
+    """A fixed stream of Ω_lc inputs drawn from :data:`CHURN_SWIM_MIX`.
+
+    Items are ``("forward", sender, leader, acc)`` (the uniformly drawn
+    sender's stage-1 choice switched to ``leader``), ``("flip", pid)``
+    (``pid`` goes from trusted to suspected or back; a flip that would
+    exceed :data:`_MAX_SUSPECTS` trusts a suspect instead) and
+    ``("accuse", pid, acc)`` (``pid``'s accusation time moved to "now",
+    which ranks it last).  Each input's kind and rank bucket are drawn
+    with the churn_swim counts as weights, the rank uniformly within its
+    bucket.  Pid 0 is the local process; it joined last.
     """
     rng = random.Random(seed)
     acc = {pid: pid / 100.0 for pid in range(1, candidates)}
     acc[0] = 1.0
     ranking = sorted(acc, key=lambda pid: (acc[pid], pid))
+    kinds = list(CHURN_SWIM_MIX)
+    kind_weights = [sum(counts) for counts in CHURN_SWIM_MIX.values()]
     suspected: List[int] = []
     stream = []
     now = 1.0
-    for _ in range(updates):
-        now += 0.01
-        draw = rng.random()
-        if draw < 0.7:
-            leader = ranking[0] if rng.random() < 0.5 else ranking[rng.randrange(1, 4)]
-            stream.append(("forward", rng.randrange(1, candidates), leader, acc[leader]))
-        elif draw < 0.9:
-            if suspected and (len(suspected) == 3 or rng.random() < 0.5):
-                pid = suspected.pop(rng.randrange(len(suspected)))
+    while len(stream) < updates:
+        kind = rng.choices(kinds, kind_weights)[0]
+        low, high = rng.choices(_RANK_BUCKETS, CHURN_SWIM_MIX[kind])[0]
+        pid = ranking[rng.randrange(low, high or candidates)]
+        if kind == "forward":
+            stream.append(("forward", rng.randrange(1, candidates), pid, acc[pid]))
+        elif kind == "flip":
+            if pid == 0:
+                continue  # the local process always trusts itself
+            if pid not in suspected and len(suspected) == _MAX_SUSPECTS:
+                pid = suspected[rng.randrange(len(suspected))]
+            if pid in suspected:
+                suspected.remove(pid)
             else:
-                pid = rng.choice([p for p in ranking[:5] if p and p not in suspected])
                 suspected.append(pid)
             stream.append(("flip", pid))
         else:
-            pid = ranking[rng.randrange(4)]
+            now += 0.01
             acc[pid] = now
             ranking.remove(pid)
             ranking.append(pid)

@@ -1,16 +1,16 @@
 #!/usr/bin/env python
 """Run the live-datapath micro-benchmarks and maintain their baseline.
 
-The codec and UDP micro measurements live under the top-level ``micro``
-key of the committed ``BENCH_core.json`` (next to the sim-side
+The codec, election and UDP micro measurements live under the top-level
+``micro`` key of the committed ``BENCH_core.json`` (next to the sim-side
 ``modes``).  Typical invocations:
 
     # Measure and print; writes nothing.
     PYTHONPATH=src python tools/bench_micro.py
 
     # Regression-checked against the committed baseline (what the CI
-    # perf-smoke job runs; exit 1 on a codec-throughput or UDP-ratio
-    # regression).
+    # perf-smoke job runs; exit 1 on a codec- or election-throughput or
+    # UDP-ratio regression).
     PYTHONPATH=src python tools/bench_micro.py --check
 
     # Refresh the committed baseline after an intentional change.  The
